@@ -119,12 +119,11 @@ class NodeAgent:
         :class:`~repro.net.client.ClusterClient`).
     lease_timeout:
         seconds of total inbound silence after which the coordinator is
-        presumed dead and re-homing begins (requires ``reconnect=True``
-        and a v7 coordinator, which renews the lease every watchdog
-        tick).  This catches the leader deaths a FIN never reports:
-        when worker processes forked after connect still hold the
-        socket's fd, closing it in the dead leader delivers no EOF at
-        all.  ``None`` (default) disables the watchdog.
+        presumed dead and re-homing begins (requires ``reconnect=True``;
+        the coordinator renews its lease every watchdog tick).  This
+        catches the leader deaths a FIN never reports: when worker
+        processes forked after connect still hold the socket's fd,
+        closing it in the dead leader delivers no EOF at all.  ``None`` (default) disables the watchdog.
     n_workers:
         size of the local warm pool (reported as capacity in the
         handshake; ignored when ``service`` is supplied).
@@ -232,7 +231,6 @@ class NodeAgent:
         self._stopped = False
         self.closed = asyncio.Event()
         self.node_id: int | None = None
-        self.negotiated: int | None = None
         self._last_rx = 0.0
         self._rehoming = False
 
@@ -307,7 +305,6 @@ class NodeAgent:
             self.host, self.port = host, port
             self._reader, self._writer = reader, writer
             self.node_id = welcome.get("node_id")
-            self.negotiated = welcome.get("negotiated")
             self._last_rx = time.monotonic()
             return
         raise NetError(
@@ -321,11 +318,7 @@ class NodeAgent:
             asyncio.ensure_future(self._heartbeat_loop()),
             asyncio.ensure_future(self._pump_loop()),
         ]
-        if (
-            self.reconnect
-            and self.lease_timeout is not None
-            and (self.negotiated or 0) >= 7
-        ):
+        if self.reconnect and self.lease_timeout is not None:
             self._tasks.append(
                 asyncio.ensure_future(self._lease_watch_loop())
             )
@@ -411,7 +404,7 @@ class NodeAgent:
     async def _lease_watch_loop(self) -> None:
         """Presume the coordinator dead after ``lease_timeout`` of silence.
 
-        A v7 coordinator renews its lease on every heartbeat-watchdog
+        The coordinator renews its lease on every heartbeat-watchdog
         tick, so *any* inbound frame resets the clock.  This is the only
         reliable death signal when the socket's fd is also held by
         processes forked after connect (workers inherit it), because the

@@ -24,10 +24,11 @@ Rotation: under sustained gateway traffic the journal is append-only
 garbage after a few thousand jobs — every finished job leaves its submit
 payload behind forever.  With ``max_bytes`` set, a ``finish`` append that
 leaves the file over the limit triggers a compaction: the journal is
-replayed in-process, only the *unfinished* jobs are rewritten (one
-``submit`` record each, plus a ``generation`` record when above 0) to a
-temporary file which is fsync'd and atomically ``os.replace``-d over the
-old journal.  Crash recovery is preserved at every instant: before the
+folded into a :class:`~repro.net.jobtable.JobTable` and its
+:meth:`~repro.net.jobtable.JobTable.records` (one ``submit`` record per
+unfinished job, plus a ``generation`` record when above 0) are written
+to a temporary file which is fsync'd and atomically ``os.replace``-d over
+the old journal.  Crash recovery is preserved at every instant: before the
 replace the old journal is intact; after it the new journal holds exactly
 the jobs a recovery would have re-created anyway.
 
@@ -47,73 +48,24 @@ Recovery invariants (asserted by ``tests/chaos``):
 
 from __future__ import annotations
 
-import base64
 import json
 import os
 from pathlib import Path
-from typing import Any, Optional
+from typing import Any, Iterator, Optional
 
 from repro.errors import NetError
+from repro.net.jobtable import (
+    JobTable,
+    finish_record,
+    generation_record,
+    submit_record,
+)
 
-__all__ = [
-    "JobJournal",
-    "replay_journal",
-    "decode_payload",
-    "submit_record",
-    "generation_record",
-    "finish_record",
-    "checkpoint_record",
-]
+__all__ = ["JobJournal", "read_records", "replay_journal"]
 
 
-# ----------------------------------------------------------------------
-# record builders
-#
-# The journal file and the protocol v7 replication stream carry the exact
-# same records; these helpers are the single source of truth for their
-# shape, used by :class:`JobJournal` when appending locally and by the
-# coordinator when teeing each append to attached hot standbys.
-# ----------------------------------------------------------------------
-def submit_record(
-    job_id: int,
-    *,
-    client_key: str,
-    trace_id: str,
-    n_walkers: int,
-    deadline: float | None,
-    payload: bytes,
-    priority: int = 0,
-    coop: dict | None = None,
-) -> dict[str, Any]:
-    """The journal record of one accepted job."""
-    record: dict[str, Any] = {
-        "kind": "submit",
-        "job_id": job_id,
-        "client_key": client_key,
-        "trace_id": trace_id,
-        "n_walkers": n_walkers,
-        "deadline": deadline,
-        "priority": priority,
-        "payload": base64.b64encode(payload).decode("ascii"),
-    }
-    if coop is not None:
-        # protocol v6: a recovered cooperative job must come back as a
-        # cooperative job, so the wire dict is journaled verbatim
-        record["coop"] = coop
-    return record
-
-
-def generation_record(job_id: int, generation: int) -> dict[str, Any]:
-    return {"kind": "generation", "job_id": job_id, "generation": generation}
-
-
-def finish_record(job_id: int, status: str) -> dict[str, Any]:
-    return {"kind": "finish", "job_id": job_id, "status": status}
-
-
-def checkpoint_record(max_job_id: int) -> dict[str, Any]:
-    """Job-id high-water mark (written by compaction and snapshots)."""
-    return {"kind": "checkpoint", "job_id": max_job_id}
+def _line(record: dict[str, Any]) -> str:
+    return json.dumps(record, separators=(",", ":")) + "\n"
 
 
 class JobJournal:
@@ -139,109 +91,62 @@ class JobJournal:
         self._since_fsync = 0
 
     # ------------------------------------------------------------------
-    def _append(self, record: dict[str, Any], *, durable: bool) -> None:
+    def append_record(self, record: dict[str, Any]) -> None:
+        """Append one record (the coordinator and the standby tail path).
+
+        ``submit`` records are durable (fsync before dispatch) — a hot
+        standby writes exactly what the leader streamed, so a promoted
+        standby's journal is as crash-safe as the leader's was.  A
+        ``finish`` is the checkpoint that turns earlier records into
+        garbage, so it is the natural moment to check the size trigger.
+        """
         if self._file is None:
             return  # journal closed/aborted: recovery owns the truth now
-        self._file.write(json.dumps(record, separators=(",", ":")) + "\n")
+        kind = record.get("kind")
+        self._file.write(_line(record))
         self._file.flush()
         self._since_fsync += 1
-        if durable or self._since_fsync >= self.fsync_every:
+        if kind == "submit" or self._since_fsync >= self.fsync_every:
             os.fsync(self._file.fileno())
             self._since_fsync = 0
-
-    def append_record(self, record: dict[str, Any]) -> None:
-        """Append one pre-built record (the v7 replication-tail path).
-
-        A hot standby writes exactly what the leader streamed; ``submit``
-        records keep their durable-fsync contract so a promoted standby's
-        journal is as crash-safe as the leader's was.
-        """
-        self._append(record, durable=record.get("kind") == "submit")
-
-    def log_submit(
-        self,
-        job_id: int,
-        *,
-        client_key: str,
-        trace_id: str,
-        n_walkers: int,
-        deadline: float | None,
-        payload: bytes,
-        priority: int = 0,
-        coop: dict | None = None,
-    ) -> None:
-        """Journal an accepted job (durable: fsync before dispatch)."""
-        self._append(
-            submit_record(
-                job_id,
-                client_key=client_key,
-                trace_id=trace_id,
-                n_walkers=n_walkers,
-                deadline=deadline,
-                payload=payload,
-                priority=priority,
-                coop=coop,
-            ),
-            durable=True,
-        )
-
-    def log_generation(self, job_id: int, generation: int) -> None:
-        self._append(generation_record(job_id, generation), durable=False)
-
-    def log_finish(self, job_id: int, status: str) -> None:
-        self._append(finish_record(job_id, status), durable=False)
-        # a finish is the checkpoint that turns earlier records into
-        # garbage, so it is the natural moment to check the size trigger
         if (
-            self.max_bytes is not None
-            and self._file is not None
+            kind == "finish"
+            and self.max_bytes is not None
             and self._file.tell() > self.max_bytes
         ):
             self.compact()
 
+    def log_submit(self, job_id: int, **fields: Any) -> None:
+        """Journal an accepted job (see :func:`submit_record`)."""
+        self.append_record(submit_record(job_id, **fields))
+
+    def log_generation(self, job_id: int, generation: int) -> None:
+        self.append_record(generation_record(job_id, generation))
+
+    def log_finish(self, job_id: int, status: str) -> None:
+        self.append_record(finish_record(job_id, status))
+
     def compact(self) -> None:
         """Rewrite the journal keeping only unfinished jobs (atomic).
 
-        The live fd is flushed and fsync'd first so the replay sees every
+        The live fd is flushed and fsync'd first so the fold sees every
         appended record, the replacement file is fsync'd before the
         ``os.replace``, and appending resumes on the new file — at no
-        point would a crash lose a recoverable job.
+        point would a crash lose a recoverable job.  The leading
+        checkpoint preserves the job-id high-water mark even when every
+        journaled job finished, so a recovered coordinator never reuses
+        an id that a cached result or a stale report may still reference.
         """
         if self._file is None:
             return
         self._file.flush()
         os.fsync(self._file.fileno())
-        entries, max_job_id = replay_journal(self.path)
+        table = JobTable()
+        for record in read_records(self.path):
+            table.apply_record(record)
         tmp_path = self.path.with_name(self.path.name + ".compact")
         with open(tmp_path, "w", encoding="utf-8") as tmp:
-            # preserve the job-id high-water mark even when every journaled
-            # job finished, so a recovered coordinator never reuses an id
-            # that a cached result or a stale report may still reference
-            tmp.write(
-                json.dumps(checkpoint_record(max_job_id), separators=(",", ":"))
-                + "\n"
-            )
-            for job_id in sorted(entries):
-                entry = entries[job_id]
-                generation = entry.get("generation", 0)
-                record = {
-                    key: value
-                    for key, value in entry.items()
-                    if key != "generation"
-                }
-                tmp.write(json.dumps(record, separators=(",", ":")) + "\n")
-                if generation:
-                    tmp.write(
-                        json.dumps(
-                            {
-                                "kind": "generation",
-                                "job_id": job_id,
-                                "generation": generation,
-                            },
-                            separators=(",", ":"),
-                        )
-                        + "\n"
-                    )
+            tmp.writelines(_line(record) for record in table.records())
             tmp.flush()
             os.fsync(tmp.fileno())
         self._file.close()
@@ -277,52 +182,39 @@ class JobJournal:
         self.close()
 
 
-def replay_journal(path: str | Path) -> tuple[dict[int, dict[str, Any]], int]:
-    """Fold a journal back into its unfinished jobs.
+def read_records(path: str | Path) -> Iterator[Any]:
+    """Every record of a journal file, in append order.
 
-    Returns ``(jobs, max_job_id)`` where ``jobs`` maps job id to the
-    folded record: the ``submit`` fields (payload still base64) plus the
-    highest journaled ``generation``.  Finished jobs are dropped; a torn
-    trailing line (crash mid-append) ends the replay silently; a missing
-    file replays to nothing.
+    A torn trailing line (crash mid-append) ends the stream silently; a
+    missing file has no records.
     """
     path = Path(path)
-    jobs: dict[int, dict[str, Any]] = {}
-    max_job_id = -1
     if not path.exists():
-        return jobs, max_job_id
+        return
     with open(path, "r", encoding="utf-8") as file:
         for line in file:
             line = line.strip()
             if not line:
                 continue
             try:
-                record = json.loads(line)
+                yield json.loads(line)
             except json.JSONDecodeError:
-                break  # torn tail: everything after it is gone anyway
-            if not isinstance(record, dict):
-                continue
-            job_id = record.get("job_id")
-            if not isinstance(job_id, int):
-                continue
-            max_job_id = max(max_job_id, job_id)
-            kind = record.get("kind")
-            if kind == "submit":
-                entry = dict(record)
-                entry["generation"] = 0
-                jobs[job_id] = entry
-            elif kind == "generation" and job_id in jobs:
-                jobs[job_id]["generation"] = max(
-                    jobs[job_id]["generation"], int(record.get("generation", 0))
-                )
-            elif kind == "finish":
-                jobs.pop(job_id, None)
-    return jobs, max_job_id
+                return  # torn tail: everything after it is gone anyway
 
 
-def decode_payload(entry: dict[str, Any]) -> bytes:
-    """The pickled submit payload of one replayed ``submit`` entry."""
-    try:
-        return base64.b64decode(entry["payload"])
-    except (KeyError, ValueError) as err:
-        raise NetError(f"corrupt journal payload: {err}") from None
+def replay_journal(path: str | Path) -> tuple[dict[int, dict[str, Any]], int]:
+    """Fold a journal back into its unfinished jobs.
+
+    Returns ``(jobs, max_job_id)`` where ``jobs`` maps job id to its
+    ``submit`` record plus the highest journaled ``generation``.
+    """
+    table = JobTable()
+    for record in read_records(path):
+        table.apply_record(record)
+    jobs: dict[int, dict[str, Any]] = {}
+    for record in table.records():
+        if record["kind"] == "submit":
+            jobs[record["job_id"]] = {**record, "generation": 0}
+        elif record["kind"] == "generation":
+            jobs[record["job_id"]]["generation"] = record["generation"]
+    return jobs, table.max_job_id

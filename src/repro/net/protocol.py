@@ -30,78 +30,56 @@ network), exactly like the paper's MPI ranks.
 Handshake
 ---------
 The first frame on any connection must be ``hello`` carrying ``role``
-(``"node"``, ``"client"``, or — since v7 — ``"replica"``) and
-``protocol``; the coordinator answers ``welcome`` (echoing its own
-version plus the ``negotiated`` one) or
-``reject`` + close.  Since v6 the coordinator accepts any peer version in
-``[MIN_PROTOCOL_VERSION, PROTOCOL_VERSION]`` and remembers the negotiated
-version per connection: a v5 agent keeps running independent multi-walk
-slices unchanged, and jobs that *need* v6 frames (cooperative search) are
-refused with a clear error naming the stale node instead of failing
-mid-flight.  Peers older than the window are still rejected outright.
+(``"node"``, ``"client"`` or ``"replica"``) and ``protocol``.  The
+coordinator accepts exactly :data:`PROTOCOL_VERSION` — every peer is
+built from this same tree, so there is no version window to negotiate —
+and answers ``welcome`` (its ``protocol``, plus ``node_id`` for a node);
+any other value, a bool included, gets ``reject`` (``protocol``,
+``min_protocol``, ``error``) and a close.  A node hello also carries
+``name`` and ``capacity``; a client hello may carry ``reconnect`` (keep
+its jobs alive across a disconnect).
 
-Version history
----------------
-- **1** — initial frame set (submit/assign/walk_result/cancel/heartbeat/
-  stats).
-- **2** — telemetry: ``submit``/``assign`` frames may carry a
-  ``trace_id``; ``cancel`` frames carry ``sent_at`` (the coordinator's
-  monotonic send stamp); nodes answer with a new ``cancel_ack`` frame
-  echoing ``sent_at`` verbatim, so the coordinator measures true
-  cancel-propagation round trips on its *own* clock (no cross-host
-  skew); heartbeats may carry ``load_delta`` (changed keys only) instead
-  of a full ``load`` snapshot.
-- **3** — integrity + resilience: the frame header grows a ``crc32`` of
-  the body (:func:`zlib.crc32`); both decode paths verify it and reject
-  corrupt frames with a :class:`NetError` instead of feeding garbage to
-  ``json.loads``/``pickle.loads``.  ``hello`` may carry ``reconnect``
-  (client asks the coordinator to keep its jobs alive across a
-  disconnect); ``submit`` may carry ``client_key`` (idempotent
-  resubmission token) and ``deadline`` (seconds of cluster-side budget);
-  heartbeats may carry ``progress`` (per-walk iteration counts feeding
-  the coordinator's straggler detector).
-- **4** — dispatch dedup: ``assign`` payloads always carry a
-  ``problem_digest`` (content hash, see
-  :func:`repro.parallel.shm.problem_digest`) and include the pickled
-  ``problem`` itself only the *first* time a given digest goes to a given
-  connection; the node caches problems by digest and later assigns of the
-  same job/problem are a few hundred bytes instead of re-shipping the
-  tables per dispatch.
-- **5** — scheduling: ``submit`` frames may carry a ``priority`` (int,
-  higher dispatches sooner; absent/0 keeps plain FIFO), which the
-  coordinator uses to order its pending-dispatch queue and forwards in
-  ``assign`` frames so each node's local scheduler orders its own
-  dispatch queue the same way.  The gateway maps tenant priority classes
-  onto this field.
-- **6** — cooperative search: ``submit`` frames may carry a ``coop``
-  object (the :class:`~repro.coop.config.CoopConfig` wire dict), which
-  rides into ``assign`` frames together with an ``island`` id; island
-  agents send ``elite_report`` frames (island's best cost + pickled
-  configuration per migration round) and receive ``elite_push`` frames
-  (the coordinator's topology-routed migrant batch for that round); a
-  finishing island sends one ``island_stats`` frame folding its adoption
-  and migration-loss counters into the job result.  Handshakes negotiate
-  down: the coordinator accepts v5 peers (see *Handshake* above) but
-  refuses coop jobs while any live node speaks < 6.
-- **7** — high availability: ``hello`` may carry role ``"replica"`` (a
-  hot-standby coordinator; requires protocol >= 7 on both sides).  The
-  leader answers ``welcome``, then one ``replica_snapshot`` frame (the
-  journal-style records of every live job, so a late-attaching standby
-  starts from the leader's current truth) and streams one
-  ``replica_record`` frame per subsequent journal append (submit /
-  generation / finish, carrying priority and coop metadata verbatim) —
-  the write-ahead journal, tailed over the wire, framed and CRC'd like
-  everything else.  The leader also broadcasts periodic ``lease`` frames
-  from its heartbeat watchdog — to standbys *and* to v7 node agents
-  (whose connections can outlive a dead leader without ever seeing an
-  EOF, e.g. when forked workers still hold the socket's fd; lease
-  silence is their re-homing trigger).  A standby whose lease goes
-  silent past its
-  ``lease_timeout`` (or whose connection drops) promotes itself: it
-  replays its mirrored journal through the ordinary recovery path, bumps
-  every generation, and re-dispatches in-flight walks under the existing
-  exactly-one-winner ``client_key`` dedup.  Node/client handshakes still
-  negotiate down to v5 exactly as before.
+Frames
+------
+Every frame body is CRC32-checked (:func:`zlib.crc32`) on both decode
+paths, so a corrupt frame is a :class:`NetError`, never garbage fed to
+``json.loads``/``pickle.loads``.  Fields in brackets are optional.
+
+client -> coordinator
+    ``submit`` (``request_id``, [``trace_id``, ``client_key``,
+    ``deadline``, ``priority``, ``coop``]; blob: problem, config and
+    per-walk seeds) — ``client_key`` makes resubmission idempotent,
+    ``deadline`` is seconds of cluster-side budget, ``priority`` orders
+    the pending queue (higher first), ``coop`` is a
+    :class:`~repro.coop.config.CoopConfig` wire dict; ``stats``.
+coordinator -> client
+    ``job_accepted``, ``job_result`` (blob: walk outcomes), ``error``,
+    ``stats``.
+coordinator -> node
+    ``assign`` (``job_id``, ``generation``, ``walk_ids``, ``trace_id``,
+    ``priority``, [``coop``, ``island``]; blob: ``problem_digest``,
+    config, seeds, and the pickled ``problem`` only the first time that
+    digest goes to that connection — see
+    :func:`repro.parallel.shm.problem_digest`); ``cancel`` (``job_id``,
+    ``generation``, ``sent_at``, ``trace_id``) stops every walk of that
+    generation or older; ``elite_push`` (the topology-routed migrant
+    batch of one coop round; blob: raw report blobs); ``lease``.
+node -> coordinator
+    ``heartbeat`` (``load`` or ``load_delta`` — changed keys only — and
+    [``progress``], per-walk iteration counts for the straggler
+    detector); ``walk_result`` (blob: the walk's configuration);
+    ``cancel_ack`` echoing ``sent_at`` verbatim, so cancel round trips
+    are measured on the coordinator's own clock; ``elite_report`` (an
+    island's best cost per migration round; blob: its configuration);
+    ``island_stats`` (a finishing island's adoption and migration-loss
+    counters).
+coordinator -> replica
+    one ``replica_snapshot`` (the journal records of every live job),
+    then one ``replica_record`` per journal append, and ``lease``.  The
+    leader broadcasts ``lease`` to standbys *and* nodes on every
+    watchdog tick: a node's connection can outlive a dead leader without
+    ever seeing an EOF (forked workers still hold the socket's fd), so
+    lease silence is what triggers re-homing.
 """
 
 from __future__ import annotations
@@ -121,7 +99,6 @@ from repro.errors import NetError
 
 __all__ = [
     "PROTOCOL_VERSION",
-    "MIN_PROTOCOL_VERSION",
     "MAX_FRAME_BYTES",
     "Message",
     "encode_message",
@@ -135,11 +112,6 @@ __all__ = [
 ]
 
 PROTOCOL_VERSION = 7
-
-#: oldest peer version the coordinator still accepts (negotiate-down
-#: window): v5 nodes run independent multi-walk slices fine; only the v6
-#: cooperative frames are gated on the negotiated version per connection
-MIN_PROTOCOL_VERSION = 5
 
 #: hard frame-size ceiling: a problem pickle is kilobytes, so anything in
 #: the hundreds of megabytes is a corrupt length prefix, not a real frame
@@ -201,7 +173,7 @@ def encode_message(message: Message) -> bytes:
 
 
 def _verify_crc(body: bytes, expected: int) -> None:
-    """Protocol v3: reject a frame whose body fails its CRC32."""
+    """Reject a frame whose body fails its CRC32."""
     actual = zlib.crc32(body)
     if actual != expected:
         raise NetError(

@@ -9,8 +9,9 @@ journal (recovery after a *manual* restart) and true high availability:
   job, then one ``replica_record`` frame per journal append (submit /
   generation / finish, with priority and coop metadata verbatim).  Every
   record is appended to the standby's *own* journal file — the mirror is
-  durable, not just warm memory — and folded into an in-memory mirror of
-  pending/dispatched jobs;
+  durable, not just warm memory — and folded into a
+  :class:`~repro.net.jobtable.JobTable` mirror through the same
+  ``apply_record`` fold that journal replay uses;
 - **leader lease** — the leader renews a lease from its heartbeat
   watchdog tick; the standby promotes itself when the lease goes silent
   past ``lease_timeout`` (wedged leader) or the replication connection
@@ -49,6 +50,7 @@ from typing import Any, Optional
 
 from repro.errors import NetError
 from repro.net.coordinator import Coordinator
+from repro.net.jobtable import JobTable
 from repro.net.journal import JobJournal
 from repro.net.protocol import (
     PROTOCOL_VERSION,
@@ -138,8 +140,8 @@ class StandbyCoordinator:
         #: detection-to-serving seconds of the takeover (0.0 until then)
         self.failover_elapsed = 0.0
         self.records_mirrored = 0
-        #: job_id -> folded submit record of every not-yet-finished job
-        self._mirror: dict[int, dict[str, Any]] = {}
+        #: the leader's job state, folded from the streamed records
+        self._mirror = JobTable()
 
     # ------------------------------------------------------------------
     @property
@@ -150,7 +152,7 @@ class StandbyCoordinator:
     @property
     def jobs_mirrored(self) -> int:
         """Live (unfinished) jobs currently in the warm mirror."""
-        return len(self._mirror)
+        return len(self._mirror.jobs)
 
     def _reserve_port(self) -> None:
         """Pin the serving port before promotion.
@@ -245,23 +247,14 @@ class StandbyCoordinator:
         if not self._stopped:
             await self.promote(reason="connection-lost")
 
-    def _ingest(self, record: dict[str, Any]) -> None:
+    def _ingest(self, record: Any) -> None:
         """Durably journal one streamed record and fold the warm mirror."""
         if not isinstance(record, dict):
             return
         if self._journal is not None:
             self._journal.append_record(record)
         self.records_mirrored += 1
-        kind = record.get("kind")
-        job_id = record.get("job_id")
-        if not isinstance(job_id, int):
-            return
-        if kind == "submit":
-            self._mirror[job_id] = dict(record)
-        elif kind == "generation" and job_id in self._mirror:
-            self._mirror[job_id]["generation"] = record.get("generation", 0)
-        elif kind == "finish":
-            self._mirror.pop(job_id, None)
+        self._mirror.apply_record(record)
 
     async def _watch_lease(self) -> None:
         while True:
@@ -297,22 +290,8 @@ class StandbyCoordinator:
                     leader=leader_addr, standby=standby_addr, reason=reason
                 )
             )
-        # stop mirroring: cancel the *other* loop task (promote is called
-        # from inside one of them), drop the leader connection, release
-        # the journal fd so the promoted coordinator owns the file
-        current = asyncio.current_task()
-        for task in self._tasks:
-            if task is not current:
-                task.cancel()
-        self._tasks = []
-        if self._writer is not None:
-            transport = self._writer.transport
-            if transport is not None:
-                transport.abort()
-            self._writer = None
-        if self._journal is not None:
-            self._journal.close()
-            self._journal = None
+        # release the journal fd so the promoted coordinator owns the file
+        await self._detach()
         kwargs = dict(self.coordinator_kwargs)
         kwargs.setdefault("recorder", self.recorder)
         self.coordinator = Coordinator(
@@ -335,18 +314,17 @@ class StandbyCoordinator:
             )
         self.promoted.set()
 
-    async def wait_promoted(self, timeout: float | None = None) -> None:
-        await asyncio.wait_for(self.promoted.wait(), timeout)
-
-    # ------------------------------------------------------------------
-    async def stop(self) -> None:
-        """Tear down the standby (and the promoted coordinator, if any)."""
-        self._stopped = True
+    async def _detach(self) -> None:
+        """Stop mirroring: cancel and await the *other* loop task (promote
+        runs inside one of them), drop the leader connection, close the
+        mirror journal."""
         current = asyncio.current_task()
-        for task in self._tasks:
-            if task is not current:
-                task.cancel()
+        tasks = [task for task in self._tasks if task is not current]
         self._tasks = []
+        for task in tasks:
+            task.cancel()
+        if tasks:
+            await asyncio.wait(tasks)
         if self._writer is not None:
             transport = self._writer.transport
             if transport is not None:
@@ -355,6 +333,15 @@ class StandbyCoordinator:
         if self._journal is not None:
             self._journal.close()
             self._journal = None
+
+    async def wait_promoted(self, timeout: float | None = None) -> None:
+        await asyncio.wait_for(self.promoted.wait(), timeout)
+
+    # ------------------------------------------------------------------
+    async def stop(self) -> None:
+        """Tear down the standby (and the promoted coordinator, if any)."""
+        self._stopped = True
+        await self._detach()
         if self.coordinator is not None:
             await self.coordinator.stop()
         if self._tmpdir is not None:

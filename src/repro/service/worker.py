@@ -186,6 +186,9 @@ def service_worker_main(
         message = inbox.get()
         kind = message[0]
         if kind == "shutdown":
+            # a shared-memory mapping cannot close while any array still
+            # views it: drop every problem reference first
+            problems.clear()
             for att in attachments:
                 att.detach()
             break
@@ -208,59 +211,79 @@ def service_worker_main(
         if kind != "walk":  # pragma: no cover - protocol guard
             continue
         task: WalkTask = message[1]
-        try:
-            fault = task.fault
-            if fault is not None and fault.at_iteration <= 0:
-                # pre-solve faults fire deterministically even for walks
-                # whose budget is smaller than one callback interval
-                if fault.action == "exit":
-                    os._exit(3)
-                if fault.action == "raise":
-                    raise RuntimeError(
-                        "chaos: injected walk crash before the first "
-                        "iteration"
-                    )
-            problem = problems[task.problem_id]
-            solver = AdaptiveSearch(task.config)
-            callbacks: list[Any] = [
-                GenerationCancelCallback(
-                    cancel_generations, task.slot, task.generation,
-                    task.poll_every,
-                    progress=progress, progress_index=worker_id,
-                )
-            ]
-            if fault is not None:
-                callbacks.append(_FaultCallback(fault))
-            ring = None
-            if task.trace is not None:
-                # traced walk: record telemetry into a bounded ring and
-                # ship it home with the result (see WalkTask docstring)
-                from repro.telemetry.recorder import Recorder
-                from repro.telemetry.sinks import RingBufferSink
-                from repro.telemetry.solver import TelemetryCallback
-
-                ring = RingBufferSink()
-                recorder = Recorder(
-                    sinks=[ring],
-                    proc=f"worker-{worker_id}",
-                    milestone_every=task.milestone_every,
-                )
-                callbacks.append(
-                    TelemetryCallback(
-                        recorder,
-                        trace_id=task.trace.trace_id,
-                        job_id=task.trace.job_id,
-                        walk_id=task.trace.walk_id,
-                    )
-                )
-            result = solver.solve(
-                problem, seed=task.seed, callbacks=callbacks
-            )
-            payload = walk_payload(result)
-            if ring is not None:
-                payload["telemetry"] = ring.drain()
-        except Exception:
-            import traceback
-
-            payload = {"error": traceback.format_exc()}
+        payload = _run_walk(
+            worker_id, task, problems, cancel_generations, progress
+        )
         outbox.put(("result", worker_id, task.job_id, task.walk_id, payload))
+
+
+def _run_walk(
+    worker_id: int,
+    task: WalkTask,
+    problems: dict[int, Any],
+    cancel_generations: Any,
+    progress: Any,
+) -> dict[str, Any]:
+    """Run one walk task to its result payload.
+
+    A function of its own so the walk's locals (problem, solver, result)
+    are released when it returns, not held by the worker loop.
+    """
+    try:
+        fault = task.fault
+        if fault is not None and fault.at_iteration <= 0:
+            # pre-solve faults fire deterministically even for walks
+            # whose budget is smaller than one callback interval
+            if fault.action == "exit":
+                os._exit(3)
+            if fault.action == "raise":
+                raise RuntimeError(
+                    "chaos: injected walk crash before the first "
+                    "iteration"
+                )
+        problem = problems[task.problem_id]
+        solver = AdaptiveSearch(task.config)
+        callbacks: list[Any] = [
+            GenerationCancelCallback(
+                cancel_generations, task.slot, task.generation,
+                task.poll_every,
+                progress=progress, progress_index=worker_id,
+            )
+        ]
+        if fault is not None:
+            callbacks.append(_FaultCallback(fault))
+        ring = None
+        if task.trace is not None:
+            # traced walk: record telemetry into a bounded ring and
+            # ship it home with the result (see WalkTask docstring)
+            from repro.telemetry.recorder import Recorder
+            from repro.telemetry.sinks import RingBufferSink
+            from repro.telemetry.solver import TelemetryCallback
+
+            ring = RingBufferSink()
+            recorder = Recorder(
+                sinks=[ring],
+                proc=f"worker-{worker_id}",
+                milestone_every=task.milestone_every,
+            )
+            callbacks.append(
+                TelemetryCallback(
+                    recorder,
+                    trace_id=task.trace.trace_id,
+                    job_id=task.trace.job_id,
+                    walk_id=task.trace.walk_id,
+                )
+            )
+        result = solver.solve(
+            problem, seed=task.seed, callbacks=callbacks
+        )
+        payload = walk_payload(result)
+        if ring is not None:
+            payload["telemetry"] = ring.drain()
+    except Exception:
+        import traceback
+
+        payload = {"error": traceback.format_exc()}
+    return payload
+
+

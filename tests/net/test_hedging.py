@@ -1,12 +1,12 @@
 """Straggler hedging: quantile trigger, median fallback, attribution.
 
-The trigger logic is unit-tested against a coordinator with fabricated
-job state (no sockets — `_check_stragglers` is pure bookkeeping over the
-registries), plus one live-cluster test proving quantile hedges fire
+The trigger logic is unit-tested against a :class:`JobTable` holding a
+fabricated in-flight job (no sockets, no event loop — the table is pure
+bookkeeping, and a watchdog tick returns the hedges it fires as
+effects), plus one live-cluster test proving quantile hedges fire
 end-to-end and carry their attribution.
 """
 
-import asyncio
 import json
 import time
 
@@ -15,8 +15,11 @@ import pytest
 from repro.autoscale import ModelStore, Predictor
 from repro.errors import NetError
 from repro.net import LocalCluster
-from repro.net.coordinator import Coordinator, _NetJob
+from repro.net.coordinator import Coordinator
+from repro.net.jobtable import Emit, JobTable
+from repro.net.protocol import Message, pickle_blob
 from repro.problems import make_problem
+from repro.telemetry.events import HedgeDispatch
 
 
 def warmed_predictor(family="costas", wall=0.05, n=40, size=7):
@@ -26,36 +29,31 @@ def warmed_predictor(family="costas", wall=0.05, n=40, size=7):
     return predictor
 
 
-def fake_job(problem, n_walkers=2, age=100.0):
-    """An in-flight job whose walks were dispatched ``age`` seconds ago."""
-    job = _NetJob(
-        job_id=1,
-        request_id=0,
-        client=None,
-        problem=problem,
-        config=None,
-        seeds=list(range(n_walkers)),
-        submitted_at=time.monotonic() - age,
-    )
-    now = time.monotonic()
-    for walk_id in range(n_walkers):
-        job.dispatched_at[walk_id] = now - age
-    return job
+def fake_job(table, problem, n_walkers=2, age=100.0):
+    """An in-flight job whose walks were dispatched ``age`` seconds ago,
+    spread over two nodes so every walk has another node to hedge onto."""
+    then = time.monotonic() - age
+    for node_id in range(2):
+        table.node_joined(node_id, f"node-{node_id}", 1, node_id, then)
+    payload = {"problem": problem, "seeds": list(range(n_walkers))}
+    submit = Message("submit", {"request_id": 0}, blob=pickle_blob(payload))
+    table.submit("client", submit, then)
+    return table.jobs[table.max_job_id]
 
 
-class HedgeSpy:
-    def __init__(self):
-        self.calls = []
-
-    async def __call__(self, job, walk_id, elapsed, *, trigger="", threshold=0.0):
-        self.calls.append(
-            {
-                "walk_id": walk_id,
-                "elapsed": elapsed,
-                "trigger": trigger,
-                "threshold": threshold,
-            }
-        )
+def hedge_calls(table, now):
+    """The hedges one watchdog tick fires, with their attribution."""
+    return [
+        {
+            "walk_id": effect.event.walk_id,
+            "elapsed": effect.event.elapsed,
+            "trigger": effect.event.trigger,
+            "threshold": effect.event.threshold,
+        }
+        for effect in table.tick(now)
+        if isinstance(effect, Emit)
+        and isinstance(effect.event, HedgeDispatch)
+    ]
 
 
 class TestQuantileTrigger:
@@ -69,121 +67,115 @@ class TestQuantileTrigger:
 
     def test_threshold_is_the_fitted_quantile(self):
         predictor = warmed_predictor(wall=2.0)
-        coordinator = Coordinator(
+        table = JobTable(
             predictor=predictor, hedge_quantile=0.9, min_hedge_delay=0.01
         )
-        job = fake_job(make_problem("costas", n=7))
-        threshold = coordinator._quantile_threshold(job)
+        job = fake_job(table, make_problem("costas", n=7))
+        threshold = table.quantile_threshold(job)
         assert threshold is not None
         model = predictor.store.get("costas", 7)
         assert threshold == pytest.approx(model.quantile(0.9), rel=1e-6)
 
     def test_min_hedge_delay_floors_the_threshold(self):
-        coordinator = Coordinator(
+        table = JobTable(
             predictor=warmed_predictor(wall=0.001),
             hedge_quantile=0.9,
             min_hedge_delay=5.0,
         )
-        job = fake_job(make_problem("costas", n=7))
-        assert coordinator._quantile_threshold(job) == 5.0
+        job = fake_job(table, make_problem("costas", n=7))
+        assert table.quantile_threshold(job) == 5.0
 
     def test_no_model_means_no_quantile_threshold(self):
-        coordinator = Coordinator(
-            predictor=Predictor(), hedge_quantile=0.9
-        )
-        job = fake_job(make_problem("costas", n=7))
-        assert coordinator._quantile_threshold(job) is None
+        table = JobTable(predictor=Predictor(), hedge_quantile=0.9)
+        job = fake_job(table, make_problem("costas", n=7))
+        assert table.quantile_threshold(job) is None
 
     def test_overdue_walks_hedge_with_attribution(self):
-        coordinator = Coordinator(
+        table = JobTable(
+            telemetry=True,
             predictor=warmed_predictor(wall=0.05),
             hedge_quantile=0.9,
             min_hedge_delay=0.01,
             max_hedges=8,
         )
-        job = fake_job(make_problem("costas", n=7), n_walkers=2, age=10.0)
-        coordinator._jobs[job.job_id] = job
-        spy = HedgeSpy()
-        coordinator._hedge = spy
-        asyncio.run(coordinator._check_stragglers(time.monotonic()))
-        assert [c["walk_id"] for c in spy.calls] == [0, 1]
-        for call in spy.calls:
+        fake_job(table, make_problem("costas", n=7), n_walkers=2, age=10.0)
+        calls = hedge_calls(table, time.monotonic())
+        assert [c["walk_id"] for c in calls] == [0, 1]
+        for call in calls:
             assert call["trigger"] == "quantile"
             assert call["elapsed"] > call["threshold"] > 0
 
     def test_fresh_walks_not_hedged(self):
-        coordinator = Coordinator(
+        table = JobTable(
+            telemetry=True,
             predictor=warmed_predictor(wall=100.0),
             hedge_quantile=0.9,
             min_hedge_delay=0.01,
         )
         # walks are 10s old but the learned p90 is ~100s: not stragglers
-        job = fake_job(make_problem("costas", n=7), age=10.0)
-        coordinator._jobs[job.job_id] = job
-        spy = HedgeSpy()
-        coordinator._hedge = spy
-        asyncio.run(coordinator._check_stragglers(time.monotonic()))
-        assert spy.calls == []
+        fake_job(table, make_problem("costas", n=7), age=10.0)
+        calls = hedge_calls(table, time.monotonic())
+        assert calls == []
 
     def test_quantile_needs_no_within_job_completions(self):
         # the median rule refuses to act before half the job finished; the
         # quantile rule acts from history alone
-        coordinator = Coordinator(
+        table = JobTable(
+            telemetry=True,
             predictor=warmed_predictor(wall=0.05),
             hedge_quantile=0.9,
             min_hedge_delay=0.01,
             max_hedges=8,
         )
-        job = fake_job(make_problem("costas", n=7), n_walkers=4, age=10.0)
+        job = fake_job(
+            table, make_problem("costas", n=7), n_walkers=4, age=10.0
+        )
         assert not job.completed_walls
-        coordinator._jobs[job.job_id] = job
-        spy = HedgeSpy()
-        coordinator._hedge = spy
-        asyncio.run(coordinator._check_stragglers(time.monotonic()))
-        assert len(spy.calls) == 4
+        calls = hedge_calls(table, time.monotonic())
+        assert len(calls) == 4
 
     def test_unknown_family_falls_back_to_median_rule(self):
-        coordinator = Coordinator(
+        table = JobTable(
+            telemetry=True,
             predictor=warmed_predictor(family="costas"),
             hedge_quantile=0.9,
             hedge_factor=2.0,
             min_hedge_delay=0.01,
             max_hedges=8,
         )
-        job = fake_job(make_problem("magic_square", n=10), n_walkers=4, age=10.0)
+        job = fake_job(
+            table, make_problem("magic_square", n=10), n_walkers=4, age=10.0
+        )
         # half done with fast walls: the median rule is armed
         job.outstanding = {2, 3}
         job.completed_walls = [0.1, 0.1]
-        coordinator._jobs[job.job_id] = job
-        spy = HedgeSpy()
-        coordinator._hedge = spy
-        asyncio.run(coordinator._check_stragglers(time.monotonic()))
-        assert len(spy.calls) == 2
-        assert all(c["trigger"] == "median_factor" for c in spy.calls)
+        calls = hedge_calls(table, time.monotonic())
+        assert len(calls) == 2
+        assert all(c["trigger"] == "median_factor" for c in calls)
 
     def test_max_hedges_caps_the_job(self):
-        coordinator = Coordinator(
+        table = JobTable(
+            telemetry=True,
             predictor=warmed_predictor(wall=0.05),
             hedge_quantile=0.9,
             min_hedge_delay=0.01,
             max_hedges=1,
         )
-        job = fake_job(make_problem("costas", n=7), n_walkers=4, age=10.0)
+        job = fake_job(
+            table, make_problem("costas", n=7), n_walkers=4, age=10.0
+        )
         job.hedge_count = 1  # budget already spent
-        coordinator._jobs[job.job_id] = job
-        spy = HedgeSpy()
-        coordinator._hedge = spy
-        asyncio.run(coordinator._check_stragglers(time.monotonic()))
-        assert spy.calls == []
+        calls = hedge_calls(table, time.monotonic())
+        assert calls == []
 
 
 class TestWalkObservation:
     def test_solved_walls_feed_the_predictor(self):
         predictor = Predictor(ModelStore(min_samples=2, refit_interval=2))
-        coordinator = Coordinator(predictor=predictor, hedge_quantile=0.9)
-        job = fake_job(make_problem("costas", n=7))
+        table = JobTable(predictor=predictor, hedge_quantile=0.9)
+        job = fake_job(table, make_problem("costas", n=7))
         for wall in [0.5, 0.6, 0.7]:
-            coordinator._observe_walk(job, wall)
+            table.observe_walk(job, wall)
         model = predictor.store.get("costas", 7)
         assert model is not None
         assert model.n_observed == 3

@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import ParallelError
 from repro.problems import CostasProblem
-from repro.service import WorkerPool
+from repro.service import SolverService, WorkerPool
 
 
 class TestValidation:
@@ -105,3 +105,20 @@ class TestLifecycle:
             # the fresh process was handed every registered problem again
             assert pid in pool._workers[0].known_problems
             assert pool._workers[0].process is not victim.process
+
+
+@pytest.mark.slow
+class TestCleanShutdown:
+    def test_shared_memory_problem_pool_exits_clean(self, capfd):
+        """Workers map a shared-memory problem (the pool's default way of
+        shipping one); shutting down must close every mapping cleanly —
+        no BufferError traceback, every worker at exit code 0."""
+        problem = CostasProblem(8)
+        service = SolverService(2).start()
+        workers = service.pool.live_processes()
+        try:
+            assert service.solve(problem, 2, seed=1, timeout=120).solved
+        finally:
+            service.shutdown()
+        assert [worker.exitcode for worker in workers] == [0, 0]
+        assert "Traceback" not in capfd.readouterr().err
