@@ -42,9 +42,13 @@ from repro.coop.config import COOP_STREAM, CoopConfig
 from repro.core.config import AdaptiveSearchConfig
 from repro.core.session import AdaptiveSearchSession
 from repro.core.termination import TerminationReason
-from repro.csp.permutation import random_partial_reset
 from repro.errors import CoopError
-from repro.parallel.cooperative import ElitePool
+from repro.parallel.cooperative import (
+    ElitePool,
+    adopt_elite,
+    round_allowance,
+    session_outcome,
+)
 from repro.parallel.results import WalkOutcome
 from repro.problems.base import Problem
 from repro.telemetry.events import EliteAdopt
@@ -178,13 +182,9 @@ class IslandRunner:
                 if self.cancel.is_set():
                     break
                 session = sessions[walk_id]
-                chunk = self._iteration_allowance(session, started)
-                if chunk is None:  # budget spent between rounds
-                    finished[walk_id] = (
-                        TerminationReason.MAX_ITERATIONS
-                        if session.stats.iterations >= cfg.max_iterations
-                        else TerminationReason.TIME_LIMIT
-                    )
+                chunk = round_allowance(session, coop.report_interval, started)
+                if isinstance(chunk, TerminationReason):  # budget spent
+                    finished[walk_id] = chunk
                     active.discard(walk_id)
                     continue
                 out = session.step(chunk)
@@ -204,7 +204,7 @@ class IslandRunner:
                     self._migrate(rounds, stats)
 
         walks = [
-            self._outcome(walk_id, sessions[walk_id], finished.get(walk_id))
+            session_outcome(walk_id, sessions[walk_id], finished[walk_id])
             for walk_id in self.walk_ids
             if walk_id in finished
         ]
@@ -221,18 +221,6 @@ class IslandRunner:
         )
 
     # ------------------------------------------------------------------
-    def _iteration_allowance(
-        self, session: AdaptiveSearchSession, started: float
-    ) -> Optional[int]:
-        """This round's step size, or ``None`` when the budget is spent."""
-        cfg = self.config
-        remaining = cfg.max_iterations - session.stats.iterations
-        if remaining <= 0:
-            return None
-        if time.perf_counter() - started >= cfg.time_limit:
-            return None
-        return int(min(self.coop.report_interval, remaining))
-
     def _maybe_adopt(
         self,
         session: AdaptiveSearchSession,
@@ -241,21 +229,12 @@ class IslandRunner:
         stats: dict[str, int],
     ) -> None:
         """The local adoption policy — identical to the in-process scheme."""
-        coop = self.coop
-        if session.stats.iterations - last_adopt[walk_id] < coop.adopt_interval:
-            return
-        last_adopt[walk_id] = session.stats.iterations
-        if self._rng.random() >= coop.p_adopt:
-            return
-        elite = self.pool.best()
-        if elite is None or elite[0] >= (
-            1.0 - coop.min_relative_gain
-        ) * session.cost:
-            return
         cost_before = session.cost
-        adopted = elite[1]
-        random_partial_reset(adopted, coop.perturb_fraction, self._rng)
-        session.inject_configuration(adopted)
+        last_adopt[walk_id], elite_cost = adopt_elite(
+            session, self.pool, self.coop, self._rng, last_adopt[walk_id]
+        )
+        if elite_cost is None:
+            return
         stats["adoptions"] += 1
         if self.recorder is not None and self.recorder.enabled:
             self.recorder.emit(
@@ -266,7 +245,7 @@ class IslandRunner:
                     island=self.island,
                     iteration=session.stats.iterations,
                     cost_before=float(cost_before),
-                    cost_elite=float(elite[0]),
+                    cost_elite=elite_cost,
                 )
             )
 
@@ -297,19 +276,3 @@ class IslandRunner:
                 return
             # an older round's push straggled in: its migrants were folded
             # into the pool above, but keep waiting for the current round
-
-    def _outcome(
-        self,
-        walk_id: int,
-        session: AdaptiveSearchSession,
-        reason: Optional[TerminationReason],
-    ) -> WalkOutcome:
-        return WalkOutcome(
-            walk_id=walk_id,
-            solved=session.solved,
-            cost=session.best_cost,
-            iterations=session.stats.iterations,
-            wall_time=session.elapsed,
-            reason=reason if reason is not None else TerminationReason.CANCELLED,
-            config=session.best_config if session.solved else None,
-        )

@@ -104,6 +104,15 @@ def parse_addresses(value: Any) -> list[tuple[str, int]]:
     return [parse_address(item) for item in items]
 
 
+def _close_socket(sock: socket.socket) -> None:
+    """Shut a connection down both ways, then release its descriptor."""
+    try:
+        sock.shutdown(socket.SHUT_RDWR)
+    except OSError:
+        pass
+    sock.close()
+
+
 class NetJobHandle:
     """Future-style handle on one submitted cluster job (thread-safe)."""
 
@@ -315,11 +324,7 @@ class ClusterClient:
             self._sock = None
         self._connected.set()  # release any sender waiting on a reconnect
         if sock is not None:
-            try:
-                sock.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            sock.close()
+            _close_socket(sock)
         if self._reader is not None and self._reader is not threading.current_thread():
             self._reader.join(timeout=5.0)
         self._fail_all("client closed")
@@ -499,6 +504,8 @@ class ClusterClient:
                 self._sock = None
                 stats_waiters = list(self._stats_waiters.values())
                 self._stats_waiters.clear()
+            if sock is not None:
+                _close_socket(sock)
             for event, _ in stats_waiters:
                 event.set()
             if not self._reconnect():

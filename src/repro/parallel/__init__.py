@@ -3,22 +3,27 @@
 The paper's parallelization scheme: launch ``k`` independent copies of the
 sequential Adaptive Search engine from different random initial
 configurations, with **no communication except completion** — the first walk
-to find a solution terminates all others.
+to find a solution terminates all others.  :class:`MultiWalkSolver` runs it
+under six executors:
 
-Two executors are provided:
+- ``"inline"`` — walks run in turn in-process; parallel time = exact min.
+- ``"process"`` — one OS process per walk racing on a shared cancel event.
+- ``"vector"`` — lanes of one NumPy engine; ``lanes`` splits processes.
+- ``"pool"`` — warm workers of a shared :class:`repro.service.SolverService`.
+- ``"net"`` — one job on a :mod:`repro.net` coordinator cluster.
+- ``"coop"`` — ``"net"`` with islands migrating elites between nodes.
 
-- ``"process"`` — real OS processes via :mod:`multiprocessing` (the GIL rules
-  out threads for a CPU-bound Python solver); walks poll a shared cancel
-  event between iterations, mirroring the paper's MPI termination message.
-- ``"inline"`` — every walk runs to completion sequentially in-process and
-  the parallel wall time is *computed* as the minimum across walks.  For
-  zero-communication multi-walks this is semantically exact, determinstic,
-  and is what the simulated-platform experiments build on.
+Processes, not threads: the GIL rules out threads for a CPU-bound Python
+solver, and the shared cancel event mirrors the paper's MPI termination
+message.  For zero-communication walks the inline min is exact, which is
+what the simulated-platform experiments build on.
 
-A third executor, ``"pool"``, delegates the walks to the persistent
-warm-worker pool of :mod:`repro.service` — same first-finisher semantics,
-but the processes are spawned once and shared across solves (and across
-concurrent jobs), so per-call launch overhead disappears.
+The per-call process executors (``"process"``, hybrid ``"vector"`` and the
+process executor of :class:`CooperativeMultiWalk`, the dependent scheme)
+share one fan-out (:mod:`repro.parallel.fanout`) and one walk-report codec
+(:func:`~repro.parallel.results.walk_payload` /
+:meth:`WalkOutcome.from_payload`).  Walk ``i`` runs the same trajectory
+under every executor.
 """
 
 from repro.parallel.cooperative import (

@@ -29,24 +29,37 @@ the paper's independent scheme.
 from __future__ import annotations
 
 import math
+import multiprocessing as mp
 import threading
+import time
 from dataclasses import dataclass, field
-from typing import Optional
+from multiprocessing.managers import BaseManager
+from typing import Any, Optional
 
 import numpy as np
 
 from repro.core.config import AdaptiveSearchConfig
+from repro.core.result import SolveResult
 from repro.core.session import AdaptiveSearchSession
 from repro.core.termination import TerminationReason
 from repro.csp.permutation import random_partial_reset
 from repro.errors import ParallelError
-from repro.parallel.results import WalkOutcome
+from repro.parallel.fanout import fan_out
+from repro.parallel.results import WalkOutcome, walk_payload
 from repro.parallel.seeding import walk_seeds
 from repro.problems.base import Problem
 from repro.util.rng import SeedLike, as_generator
 from repro.util.validation import check_fraction, check_probability
 
-__all__ = ["CooperationConfig", "ElitePool", "CooperativeMultiWalk", "CooperativeResult"]
+__all__ = [
+    "CooperationConfig",
+    "ElitePool",
+    "CooperativeMultiWalk",
+    "CooperativeResult",
+    "adopt_elite",
+    "round_allowance",
+    "session_outcome",
+]
 
 
 @dataclass(frozen=True)
@@ -169,6 +182,16 @@ class ElitePool:
         with self._lock:
             return self._entries[0][0] if self._entries else float("inf")
 
+    def counters(self) -> dict[str, int]:
+        """``offers`` / ``accepts`` / ``rejected`` — readable through a
+        manager proxy, which forwards methods but not attributes."""
+        with self._lock:
+            return {
+                "offers": self.offers,
+                "accepts": self.accepts,
+                "rejected": self.rejected,
+            }
+
 
 @dataclass
 class CooperativeResult:
@@ -216,10 +239,11 @@ class CooperativeMultiWalk:
     - ``"inline"`` (default) — synchronized rounds in one process:
       deterministic, exact iteration-clock measurement; the reference
       implementation for experiments.
-    - ``"process"`` — real OS processes sharing the elite pool through a
-      :class:`multiprocessing.Manager`; non-deterministic (adoption timing
-      depends on scheduling) but gives true parallelism on multi-core
-      hosts.
+    - ``"process"`` — real OS processes (started through the shared
+      :func:`~repro.parallel.fanout.fan_out`) sharing one
+      :class:`ElitePool` hosted by a :mod:`multiprocessing` manager;
+      non-deterministic (adoption timing depends on scheduling) but gives
+      true parallelism on multi-core hosts.
     """
 
     def __init__(
@@ -270,8 +294,6 @@ class CooperativeMultiWalk:
         pool = ElitePool(coop.pool_size)
         last_adopt = [0] * n_walkers
         adoptions = 0
-        import time
-
         t0 = time.perf_counter()
 
         winner_id: int | None = None
@@ -291,50 +313,17 @@ class CooperativeMultiWalk:
                 # report: one configuration, the paper's minimal transfer
                 pool.offer(session.cost, session.state.config)
                 # adopt: restart from a recorded crossroad
-                if (
-                    session.stats.iterations - last_adopt[walk_id]
-                    >= coop.adopt_interval
-                ):
-                    last_adopt[walk_id] = session.stats.iterations
-                    if coordinator_rng.random() < coop.p_adopt:
-                        elite = pool.best()
-                        if (
-                            elite is not None
-                            and elite[0]
-                            < (1.0 - coop.min_relative_gain) * session.cost
-                        ):
-                            adopted = elite[1]
-                            random_partial_reset(
-                                adopted, coop.perturb_fraction, coordinator_rng
-                            )
-                            session.inject_configuration(adopted)
-                            adoptions += 1
+                last_adopt[walk_id], elite_cost = adopt_elite(
+                    session, pool, coop, coordinator_rng, last_adopt[walk_id]
+                )
+                adoptions += elite_cost is not None
 
-        walks = [
-            WalkOutcome(
-                walk_id=idx,
-                solved=s.solved,
-                cost=s.best_cost,
-                iterations=s.stats.iterations,
-                wall_time=s.elapsed,
-                reason=s.reason if s.reason is not None else TerminationReason.CANCELLED,
-                config=s.best_config if s.solved else None,
-            )
-            for idx, s in enumerate(sessions)
-        ]
+        walks = [session_outcome(idx, s) for idx, s in enumerate(sessions)]
         winner = walks[winner_id] if winner_id is not None else None
-        return CooperativeResult(
-            solved=winner is not None,
-            n_walkers=n_walkers,
-            winner=winner,
-            walks=walks,
+        return _cooperative_result(
+            walks,
+            winner,
             rounds=rounds,
-            parallel_iterations=(
-                winner.iterations
-                if winner is not None
-                else max((w.iterations for w in walks), default=0)
-            ),
-            total_iterations=sum(w.iterations for w in walks),
             adoptions=adoptions,
             pool_offers=pool.offers,
             pool_accepts=pool.accepts,
@@ -350,124 +339,193 @@ class CooperativeMultiWalk:
         config: AdaptiveSearchConfig,
     ) -> CooperativeResult:
         """Real-process executor; see class docstring for the trade-offs."""
-        import math
-        import multiprocessing as mp
-        import queue as queue_mod
-        import time
-
-        from repro.parallel.coop_worker import run_cooperative_walk
-
-        coop = self.cooperation
-        coop_params = {
-            "report_interval": coop.report_interval,
-            "adopt_interval": coop.adopt_interval,
-            "p_adopt": coop.p_adopt,
-            "pool_size": coop.pool_size,
-            "min_relative_gain": coop.min_relative_gain,
-            "perturb_fraction": coop.perturb_fraction,
-        }
-        ctx = mp.get_context(self.mp_context)
-        manager = ctx.Manager()
         t0 = time.perf_counter()
-        try:
-            shared_pool = manager.list()
-            pool_lock = manager.Lock()
-            cancel_event = ctx.Event()
-            result_queue: mp.Queue = ctx.Queue()
-            seeds = walk_seeds(n_walkers, seed)
-            processes = [
-                ctx.Process(
-                    target=run_cooperative_walk,
-                    args=(
-                        walk_id,
-                        problem,
-                        config,
-                        coop_params,
-                        walk_seed,
-                        shared_pool,
-                        pool_lock,
-                        cancel_event,
-                        result_queue,
-                    ),
-                    daemon=True,
+        with _PoolManager(ctx=mp.get_context(self.mp_context)) as manager:
+            pool = manager.ElitePool(self.cooperation.pool_size)
+            targets = [
+                (
+                    run_cooperative_walk,
+                    (walk_id, problem, config, self.cooperation, walk_seed, pool),
                 )
-                for walk_id, walk_seed in enumerate(seeds)
+                for walk_id, walk_seed in enumerate(walk_seeds(n_walkers, seed))
             ]
-            for proc in processes:
-                proc.start()
-
-            if math.isinf(config.time_limit):
-                deadline = None
-            else:
-                deadline = (
-                    time.monotonic() + config.time_limit * (n_walkers + 1) + 60.0
-                )
-            payloads: dict[int, dict] = {}
-            try:
-                while len(payloads) < n_walkers:
-                    timeout = None
-                    if deadline is not None:
-                        timeout = max(0.1, deadline - time.monotonic())
-                    try:
-                        walk_id, payload = result_queue.get(timeout=timeout)
-                    except queue_mod.Empty:
-                        raise ParallelError(
-                            "cooperative multi-walk timed out: "
-                            f"{n_walkers - len(payloads)} walker(s) never reported"
-                        )
-                    if "error" in payload:
-                        raise ParallelError(
-                            f"walker {walk_id} crashed:\n{payload['error']}"
-                        )
-                    payloads[walk_id] = payload
-            finally:
-                cancel_event.set()
-                for proc in processes:
-                    proc.join(timeout=30.0)
-                for proc in processes:
-                    if proc.is_alive():  # pragma: no cover - defensive
-                        proc.terminate()
-                        proc.join(timeout=5.0)
-            pool_len = len(shared_pool)
-        finally:
-            manager.shutdown()
+            payloads, _ = fan_out(
+                targets, n_walkers, config.time_limit, self.mp_context
+            )
+            counters = pool.counters()
 
         walks = [
-            WalkOutcome(
-                walk_id=walk_id,
-                solved=payload["solved"],
-                cost=payload["cost"],
-                iterations=payload["iterations"],
-                wall_time=payload["wall_time"],
-                reason=TerminationReason[payload["reason"]],
-                config=(
-                    np.asarray(payload["config"], dtype=np.int64)
-                    if payload["config"] is not None
-                    else None
-                ),
-            )
+            WalkOutcome.from_payload(walk_id, payload)
             for walk_id, payload in sorted(payloads.items())
         ]
         solved_walks = [w for w in walks if w.solved]
-        winner = (
-            min(solved_walks, key=lambda w: w.iterations)
-            if solved_walks
-            else None
-        )
-        return CooperativeResult(
-            solved=winner is not None,
-            n_walkers=n_walkers,
-            winner=winner,
-            walks=walks,
+        winner = min(solved_walks, key=lambda w: w.iterations, default=None)
+        return _cooperative_result(
+            walks,
+            winner,
             rounds=0,  # rounds are a synchronized-executor notion
-            parallel_iterations=(
-                winner.iterations
-                if winner is not None
-                else max((w.iterations for w in walks), default=0)
-            ),
-            total_iterations=sum(w.iterations for w in walks),
-            adoptions=sum(p.get("adoptions", 0) for p in payloads.values()),
-            pool_offers=pool_len,
-            pool_accepts=pool_len,
+            adoptions=sum(p["adoptions"] for p in payloads.values()),
+            pool_offers=counters["offers"],
+            pool_accepts=counters["accepts"],
             elapsed_time=time.perf_counter() - t0,
         )
+
+
+def session_outcome(
+    walk_id: int,
+    session: AdaptiveSearchSession,
+    reason: Optional[TerminationReason] = None,
+) -> WalkOutcome:
+    """Report a cooperative walker (synchronized-round executors).
+
+    ``reason`` overrides the session's own when the walk was stopped from
+    outside a step; a walk stopped by neither counts as cancelled.
+    """
+    return WalkOutcome(
+        walk_id=walk_id,
+        solved=session.solved,
+        cost=session.best_cost,
+        iterations=session.stats.iterations,
+        wall_time=session.elapsed,
+        reason=reason or session.reason or TerminationReason.CANCELLED,
+        config=session.best_config if session.solved else None,
+    )
+
+
+def _cooperative_result(
+    walks: list[WalkOutcome], winner: Optional[WalkOutcome], **counters: Any
+) -> CooperativeResult:
+    """Fold finished walks into a result; the iteration clock ends at the
+    winner's count, or at the longest walk when none solved."""
+    return CooperativeResult(
+        solved=winner is not None,
+        n_walkers=len(walks),
+        winner=winner,
+        walks=walks,
+        parallel_iterations=(
+            winner.iterations
+            if winner is not None
+            else max((w.iterations for w in walks), default=0)
+        ),
+        total_iterations=sum(w.iterations for w in walks),
+        **counters,
+    )
+
+
+def adopt_elite(
+    session: AdaptiveSearchSession,
+    pool: Any,
+    coop: Any,
+    rng: np.random.Generator,
+    last_adopt: int,
+) -> tuple[int, Optional[float]]:
+    """One adoption attempt: the policy every cooperative walker follows.
+
+    Eligible once ``coop.adopt_interval`` iterations have passed since
+    ``last_adopt``; then, with probability ``coop.p_adopt``, the walker
+    restarts from a perturbed copy of the pool's best elite if that elite
+    beats its current cost by ``coop.min_relative_gain``.  ``pool`` is an
+    :class:`ElitePool` (or a proxy of one) and ``coop`` any config with the
+    four adoption fields.  The RNG draws in a fixed order — the ``p_adopt``
+    draw, then the perturbation — so a seed fixes every decision.
+
+    Returns the walker's new last-attempt iteration and the adopted
+    elite's cost (``None`` when nothing was adopted).
+    """
+    if session.stats.iterations - last_adopt < coop.adopt_interval:
+        return last_adopt, None
+    last_adopt = session.stats.iterations
+    if rng.random() >= coop.p_adopt:
+        return last_adopt, None
+    elite = pool.best()
+    if elite is None or elite[0] >= (1.0 - coop.min_relative_gain) * session.cost:
+        return last_adopt, None
+    adopted = elite[1]
+    random_partial_reset(adopted, coop.perturb_fraction, rng)
+    session.inject_configuration(adopted)
+    return last_adopt, float(elite[0])
+
+
+def round_allowance(
+    session: AdaptiveSearchSession, interval: int, started: float
+) -> int | TerminationReason:
+    """A cooperative walker's next step size: ``interval`` iterations,
+    capped by what is left of its iteration budget — or, once its
+    iteration or time budget (counted from ``started``) is spent, the
+    reason it stops."""
+    config = session.config
+    remaining = config.max_iterations - session.stats.iterations
+    if remaining <= 0:
+        return TerminationReason.MAX_ITERATIONS
+    if time.perf_counter() - started >= config.time_limit:
+        return TerminationReason.TIME_LIMIT
+    return int(min(interval, remaining))
+
+
+class _PoolManager(BaseManager):
+    """Serves one :class:`ElitePool` to every walker process."""
+
+
+_PoolManager.register("ElitePool", ElitePool)
+
+
+def run_cooperative_walk(
+    walk_id: int,
+    problem: Problem,
+    config: AdaptiveSearchConfig,
+    coop: CooperationConfig,
+    seed: np.random.SeedSequence,
+    pool: Any,
+    cancel_event: Any,
+    result_queue: Any,
+) -> None:
+    """One cooperative walker process; always enqueues one result tuple.
+
+    The inline round loop without the rounds: the walker steps
+    ``report_interval`` iterations at a time, offers its configuration to
+    the shared manager-hosted pool, and tries :func:`adopt_elite`, until
+    it solves, spends its budget, or sees the cancel event.  All pool
+    traffic is one configuration per walker per report interval — the
+    paper's "minimizing data transfers" requirement.
+    """
+    try:
+        walk_seed, adopt_seed = seed.spawn(2)
+        session = AdaptiveSearchSession(problem, config, walk_seed)
+        adopt_rng = np.random.default_rng(adopt_seed)
+        started = time.perf_counter()
+        last_adopt = 0
+        adoptions = 0
+        while True:
+            chunk = round_allowance(session, coop.report_interval, started)
+            if isinstance(chunk, TerminationReason):
+                reason = chunk
+                break
+            reason = session.step(chunk)
+            if reason is TerminationReason.SOLVED:
+                cancel_event.set()
+            if reason is not None:
+                break
+            if cancel_event.is_set():
+                reason = TerminationReason.CANCELLED
+                break
+            pool.offer(session.cost, session.state.config)
+            last_adopt, elite_cost = adopt_elite(
+                session, pool, coop, adopt_rng, last_adopt
+            )
+            adoptions += elite_cost is not None
+        session.stats.wall_time = session.elapsed
+        payload = walk_payload(
+            SolveResult(
+                solved=session.solved,
+                config=session.best_config,
+                cost=session.best_cost,
+                reason=reason,
+                stats=session.stats,
+            )
+        )
+        payload["adoptions"] = adoptions
+        result_queue.put((walk_id, payload))
+    except Exception:  # pragma: no cover - defensive: surface worker crashes
+        import traceback
+
+        result_queue.put((walk_id, {"error": traceback.format_exc()}))

@@ -1,33 +1,28 @@
 """The independent multi-walk driver.
 
 ``MultiWalkSolver.solve(problem, n_walkers)`` runs ``k`` independent
-Adaptive Search engines and returns as soon as one solves (process executor)
-or computes the equivalent outcome exactly (inline executor).  A third
-executor, ``"pool"``, borrows long-lived workers from a shared
-:class:`repro.service.SolverService` instead of spawning processes per
-call, amortizing start-up across solves.  See the package docstring for
-when to use which.
+Adaptive Search engines under one of six executors and returns as soon as
+one walk solves — or, under the inline executor, computes the equivalent
+outcome exactly.  The package docstring lists the executors and when to
+use which; the per-call process executors all race through the one
+:func:`~repro.parallel.fanout.fan_out`.
 """
 
 from __future__ import annotations
 
-import math
-import multiprocessing as mp
-import queue as queue_mod
-import time
-from typing import Optional
+from functools import partial
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from typing import TYPE_CHECKING
-
 from repro.core.config import AdaptiveSearchConfig
+from repro.core.result import SolveResult
 from repro.core.solver import AdaptiveSearch
-from repro.core.termination import TerminationReason
 from repro.errors import ParallelError
+from repro.parallel.fanout import fan_out
 from repro.parallel.results import ParallelResult, WalkOutcome
-from repro.parallel.seeding import walk_seeds
-from repro.parallel.worker import run_walk
+from repro.parallel.seeding import partition_walks, walk_seeds
+from repro.parallel.worker import run_vector_slice, run_walk
 from repro.problems.base import Problem
 from repro.telemetry.events import new_trace_id
 from repro.telemetry.recorder import get_recorder
@@ -59,7 +54,10 @@ class MultiWalkSolver:
         ``"pool"`` to borrow warm workers from a shared solver service
         (requires ``pool``).
     poll_every:
-        process executor: how many iterations between cancel-event polls.
+        process executor and hybrid vector layout: how many iterations
+        between cancel-event polls (the hybrid layout polls every
+        ``poll_every // lanes`` lock-step rounds, the same per-walk
+        interval).
     launch_overhead:
         inline executor: constant added to the computed parallel wall time,
         modelling job-launch latency (the process executor pays the real
@@ -179,10 +177,8 @@ class MultiWalkSolver:
             return self._solve_inline(problem, config, seeds, trace_id)
         if self.executor == "pool":
             return self._solve_pool(problem, config, seeds)
-        if self.executor == "net":
-            return self._solve_net(problem, config, seeds)
-        if self.executor == "coop":
-            return self._solve_coop(problem, config, seeds, seed)
+        if self.executor in ("net", "coop"):
+            return self._solve_cluster(problem, config, seeds, seed)
         if self.executor == "vector":
             return self._solve_vector(problem, config, seeds, trace_id)
         return self._solve_process(problem, config, seeds, trace_id)
@@ -206,58 +202,35 @@ class MultiWalkSolver:
         return handle.result().to_parallel_result()
 
     # ------------------------------------------------------------------
-    def _solve_net(
-        self,
-        problem: Problem,
-        config: AdaptiveSearchConfig,
-        seeds: list[np.random.SeedSequence],
-    ) -> ParallelResult:
-        """Run the walks as one job on a distributed coordinator cluster.
-
-        The full ordered seed list ships to the coordinator, which
-        partitions walk *indices* across nodes — so walk ``i`` runs the
-        same trajectory as under every other executor, merely on another
-        machine.
-        """
-        from repro.net.client import ClusterClient
-
-        client = self.cluster
-        owned = not isinstance(client, ClusterClient)
-        if owned:
-            client = ClusterClient(client).connect()
-        try:
-            result = client.solve(
-                problem, len(seeds), config=config, seeds=seeds
-            )
-            return result.to_parallel_result()
-        finally:
-            if owned:
-                client.close()
-
-    # ------------------------------------------------------------------
-    def _solve_coop(
+    def _solve_cluster(
         self,
         problem: Problem,
         config: AdaptiveSearchConfig,
         seeds: list[np.random.SeedSequence],
         seed: SeedLike = None,
     ) -> ParallelResult:
-        """Run the walks as one *cooperative* cluster job.
+        """Run the walks as one job on a distributed coordinator cluster.
 
-        Identical dispatch path to ``"net"`` except the submit carries the
-        coop scheme: the coordinator turns each node slice into an island
-        and relays elite migrations between them.  The original job
+        The full ordered seed list ships to the coordinator, which
+        partitions walk *indices* across nodes — so walk ``i`` runs the
+        same trajectory as under every other executor, merely on another
+        machine.  Under ``"coop"`` the submit also carries the coop
+        scheme: the coordinator turns each node slice into an island and
+        relays elite migrations between them, and the original job
         ``seed`` rides along so an unseeded coop config becomes
         deterministic per job.
         """
-        from repro.coop import CoopConfig
         from repro.net.client import ClusterClient
 
-        coop = self.coop
-        if coop is None:
-            coop = CoopConfig()
-        elif not isinstance(coop, CoopConfig):
-            coop = CoopConfig.from_wire(coop)
+        coop = None
+        if self.executor == "coop":
+            from repro.coop import CoopConfig
+
+            coop = self.coop
+            if coop is None:
+                coop = CoopConfig()
+            elif not isinstance(coop, CoopConfig):
+                coop = CoopConfig.from_wire(coop)
         client = self.cluster
         owned = not isinstance(client, ClusterClient)
         if owned:
@@ -267,7 +240,7 @@ class MultiWalkSolver:
                 problem, len(seeds), seed, config=config, seeds=seeds,
                 coop=coop,
             )
-            return result.to_parallel_result(executor="coop")
+            return result.to_parallel_result(executor=self.executor)
         finally:
             if owned:
                 client.close()
@@ -295,29 +268,15 @@ class MultiWalkSolver:
             result = solver.solve(
                 problem, seed=walk_seed, callbacks=callbacks or None
             )
-            walks.append(
-                WalkOutcome(
-                    walk_id=walk_id,
-                    solved=result.solved,
-                    cost=result.cost,
-                    iterations=result.stats.iterations,
-                    wall_time=result.stats.wall_time,
-                    reason=result.reason,
-                    config=result.config if result.solved else None,
-                )
-            )
+            walks.append(_in_process_outcome(walk_id, result))
         elapsed = stopwatch.stop()
-        solved_walks = [w for w in walks if w.solved]
-        if solved_walks:
-            winner = min(solved_walks, key=lambda w: w.wall_time)
+        winner = _first_finisher(walks)
+        if winner is not None:
             wall_time = winner.wall_time + self.launch_overhead
-            solved = True
         else:
-            winner = None
             wall_time = max(w.wall_time for w in walks) + self.launch_overhead
-            solved = False
         return ParallelResult(
-            solved=solved,
+            solved=winner is not None,
             n_walkers=len(seeds),
             winner=winner,
             walks=walks,
@@ -368,23 +327,10 @@ class MultiWalkSolver:
         if telemetry is not None:
             telemetry.on_finish(outcome)
         walks = [
-            WalkOutcome(
-                walk_id=lane,
-                solved=result.solved,
-                cost=result.cost,
-                iterations=result.stats.iterations,
-                wall_time=result.stats.wall_time,
-                reason=result.reason,
-                config=result.config if result.solved else None,
-            )
+            _in_process_outcome(lane, result)
             for lane, result in enumerate(outcome.walks)
         ]
-        solved_walks = [w for w in walks if w.solved]
-        winner = (
-            min(solved_walks, key=lambda w: w.wall_time)
-            if solved_walks
-            else None
-        )
+        winner = _first_finisher(walks)
         return ParallelResult(
             solved=winner is not None,
             n_walkers=len(seeds),
@@ -402,107 +348,26 @@ class MultiWalkSolver:
         seeds: list[np.random.SeedSequence],
     ) -> ParallelResult:
         """Hybrid layout: ``ceil(k / lanes)`` processes x ``lanes`` lanes."""
-        from repro.parallel.seeding import partition_walks
-        from repro.parallel.vector_worker import run_vector_slice
-
         assert self.lanes is not None
-        n_walks = len(seeds)
-        n_procs = -(-n_walks // self.lanes)
-        slices = [s for s in partition_walks(n_walks, n_procs) if s]
-        ctx = mp.get_context(self.mp_context)
-        cancel_event = ctx.Event()
-        result_queue: mp.Queue = ctx.Queue()
-        stopwatch = Stopwatch().start()
-        processes = [
-            ctx.Process(
-                target=run_vector_slice,
-                args=(
+        n_procs = -(-len(seeds) // self.lanes)
+        slices = [s for s in partition_walks(len(seeds), n_procs) if s]
+        # a lock-step round advances every lane of a slice once
+        targets = [
+            (
+                partial(
+                    run_vector_slice,
+                    poll_every_rounds=max(1, self.poll_every // len(slice_ids)),
+                ),
+                (
                     slice_ids,
                     problem,
                     config,
                     [seeds[walk_id] for walk_id in slice_ids],
-                    cancel_event,
-                    result_queue,
-                    max(1, self.poll_every // max(1, len(slice_ids))),
                 ),
-                daemon=True,
             )
             for slice_ids in slices
         ]
-        for proc in processes:
-            proc.start()
-        if math.isinf(config.time_limit):
-            deadline = None
-        else:
-            deadline = (
-                time.monotonic() + config.time_limit * (len(slices) + 1) + 60.0
-            )
-        payloads: dict[int, dict] = {}
-        first_solve_time: float | None = None
-        try:
-            while len(payloads) < n_walks:
-                timeout = None
-                if deadline is not None:
-                    timeout = max(0.1, deadline - time.monotonic())
-                try:
-                    walk_id, payload = result_queue.get(timeout=timeout)
-                except queue_mod.Empty:
-                    raise ParallelError(
-                        f"vector multi-walk timed out: "
-                        f"{n_walks - len(payloads)} of {n_walks} walks "
-                        "never reported"
-                    )
-                if "error" in payload:
-                    raise ParallelError(
-                        f"vector slice crashed on walk {walk_id}:\n"
-                        f"{payload['error']}"
-                    )
-                payloads[walk_id] = payload
-                if payload["solved"] and first_solve_time is None:
-                    first_solve_time = stopwatch.elapsed
-                    cancel_event.set()
-        finally:
-            cancel_event.set()
-            for proc in processes:
-                proc.join(timeout=30.0)
-            for proc in processes:
-                if proc.is_alive():  # pragma: no cover - defensive cleanup
-                    proc.terminate()
-                    proc.join(timeout=5.0)
-        elapsed = stopwatch.stop()
-        walks = [
-            WalkOutcome(
-                walk_id=walk_id,
-                solved=payload["solved"],
-                cost=payload["cost"],
-                iterations=payload["iterations"],
-                wall_time=payload["wall_time"],
-                reason=TerminationReason[payload["reason"]],
-                config=(
-                    np.asarray(payload["config"], dtype=np.int64)
-                    if payload["config"] is not None
-                    else None
-                ),
-            )
-            for walk_id, payload in sorted(payloads.items())
-        ]
-        solved_walks = [w for w in walks if w.solved]
-        winner = (
-            min(solved_walks, key=lambda w: w.wall_time)
-            if solved_walks
-            else None
-        )
-        return ParallelResult(
-            solved=winner is not None,
-            n_walkers=n_walks,
-            winner=winner,
-            walks=walks,
-            wall_time=(
-                first_solve_time if first_solve_time is not None else elapsed
-            ),
-            elapsed_time=elapsed,
-            executor="vector",
-        )
+        return self._fan_out(targets, len(seeds), config, "vector")
 
     # ------------------------------------------------------------------
     def _solve_process(
@@ -512,108 +377,65 @@ class MultiWalkSolver:
         seeds: list[np.random.SeedSequence],
         trace_id: str = "",
     ) -> ParallelResult:
-        ctx = mp.get_context(self.mp_context)
-        cancel_event = ctx.Event()
-        result_queue: mp.Queue = ctx.Queue()
-        recorder = get_recorder()
-        stopwatch = Stopwatch().start()
-        processes = [
-            ctx.Process(
-                target=run_walk,
-                args=(
-                    walk_id,
-                    problem,
-                    config,
-                    walk_seed,
-                    cancel_event,
-                    result_queue,
-                    self.poll_every,
-                    trace_id,
-                    recorder.milestone_every if trace_id else 0,
-                ),
-                daemon=True,
-            )
+        """One process per walk, first finisher cancels the rest."""
+        target = partial(
+            run_walk,
+            poll_every=self.poll_every,
+            trace_id=trace_id,
+            milestone_every=get_recorder().milestone_every if trace_id else 0,
+        )
+        targets = [
+            (target, (walk_id, problem, config, walk_seed))
             for walk_id, walk_seed in enumerate(seeds)
         ]
-        for proc in processes:
-            proc.start()
+        return self._fan_out(targets, len(seeds), config, "process")
 
-        # queue-drain deadline: every walk ends by solving, budget
-        # exhaustion, or cancellation; leave generous slack beyond the
-        # configured time limit for scheduling noise on oversubscribed hosts
-        if math.isinf(config.time_limit):
-            deadline = None
-        else:
-            deadline = time.monotonic() + config.time_limit * (len(seeds) + 1) + 60.0
-
-        payloads: dict[int, dict] = {}
-        first_solve_time: float | None = None
-        try:
-            while len(payloads) < len(seeds):
-                timeout = None
-                if deadline is not None:
-                    timeout = max(0.1, deadline - time.monotonic())
-                try:
-                    walk_id, payload = result_queue.get(timeout=timeout)
-                except queue_mod.Empty:
-                    raise ParallelError(
-                        f"multi-walk timed out: {len(seeds) - len(payloads)} of "
-                        f"{len(seeds)} walks never reported"
-                    )
-                if "error" in payload:
-                    raise ParallelError(
-                        f"walk {walk_id} crashed:\n{payload['error']}"
-                    )
-                records = payload.pop("telemetry", None)
-                if records:
-                    recorder.ingest(records)
-                payloads[walk_id] = payload
-                if payload["solved"] and first_solve_time is None:
-                    first_solve_time = stopwatch.elapsed
-                    # broadcast completion as soon as the winner reports:
-                    # the workers set the event themselves, but if a winner
-                    # raced past an unset event (solved before any poll) the
-                    # losers would otherwise run to their full budget
-                    cancel_event.set()
-        finally:
-            cancel_event.set()
-            for proc in processes:
-                proc.join(timeout=30.0)
-            for proc in processes:
-                if proc.is_alive():  # pragma: no cover - defensive cleanup
-                    proc.terminate()
-                    proc.join(timeout=5.0)
-
+    def _fan_out(
+        self,
+        targets: list,
+        n_walks: int,
+        config: AdaptiveSearchConfig,
+        executor: str,
+    ) -> ParallelResult:
+        """Race ``targets`` through :func:`fan_out`; fold the reports."""
+        stopwatch = Stopwatch().start()
+        payloads, first_solve = fan_out(
+            targets, n_walks, config.time_limit, self.mp_context
+        )
         elapsed = stopwatch.stop()
         walks = [
-            WalkOutcome(
-                walk_id=walk_id,
-                solved=payload["solved"],
-                cost=payload["cost"],
-                iterations=payload["iterations"],
-                wall_time=payload["wall_time"],
-                reason=TerminationReason[payload["reason"]],
-                config=(
-                    np.asarray(payload["config"], dtype=np.int64)
-                    if payload["config"] is not None
-                    else None
-                ),
-            )
+            WalkOutcome.from_payload(walk_id, payload)
             for walk_id, payload in sorted(payloads.items())
         ]
-        solved_walks = [w for w in walks if w.solved]
-        winner = (
-            min(solved_walks, key=lambda w: w.wall_time) if solved_walks else None
-        )
+        winner = _first_finisher(walks)
         return ParallelResult(
             solved=winner is not None,
-            n_walkers=len(seeds),
+            n_walkers=n_walks,
             winner=winner,
             walks=walks,
-            wall_time=first_solve_time if first_solve_time is not None else elapsed,
+            wall_time=first_solve if first_solve is not None else elapsed,
             elapsed_time=elapsed,
-            executor="process",
+            executor=executor,
         )
+
+
+def _in_process_outcome(walk_id: int, result: SolveResult) -> WalkOutcome:
+    """Report a walk that ran in this process (losers keep no config)."""
+    return WalkOutcome(
+        walk_id=walk_id,
+        solved=result.solved,
+        cost=result.cost,
+        iterations=result.stats.iterations,
+        wall_time=result.stats.wall_time,
+        reason=result.reason,
+        config=result.config if result.solved else None,
+    )
+
+
+def _first_finisher(walks: list[WalkOutcome]) -> WalkOutcome | None:
+    """The solved walk with the smallest wall time, if any walk solved."""
+    solved = [w for w in walks if w.solved]
+    return min(solved, key=lambda w: w.wall_time) if solved else None
 
 
 def solve_parallel(

@@ -1,15 +1,20 @@
-"""Result types of multi-walk runs."""
+"""Result types of multi-walk runs, and the walk-report codec.
+
+Every executor that runs a walk in another process ships its outcome home
+as one picklable dict built by :func:`walk_payload` and rebuilt by
+:meth:`WalkOutcome.from_payload` — the single encoding of a walk report.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Any, Optional
 
 import numpy as np
 
 from repro.core.termination import TerminationReason
 
-__all__ = ["WalkOutcome", "ParallelResult"]
+__all__ = ["WalkOutcome", "ParallelResult", "walk_payload"]
 
 
 @dataclass
@@ -24,6 +29,23 @@ class WalkOutcome:
     reason: TerminationReason
     config: Optional[np.ndarray] = None
 
+    @classmethod
+    def from_payload(cls, walk_id: int, payload: dict[str, Any]) -> "WalkOutcome":
+        """Rebuild a walk report encoded by :func:`walk_payload`."""
+        return cls(
+            walk_id=walk_id,
+            solved=payload["solved"],
+            cost=payload["cost"],
+            iterations=payload["iterations"],
+            wall_time=payload["wall_time"],
+            reason=TerminationReason[payload["reason"]],
+            config=(
+                np.asarray(payload["config"], dtype=np.int64)
+                if payload["config"] is not None
+                else None
+            ),
+        )
+
     def as_dict(self) -> dict[str, object]:
         return {
             "walk_id": self.walk_id,
@@ -33,6 +55,27 @@ class WalkOutcome:
             "wall_time": self.wall_time,
             "reason": self.reason.name,
         }
+
+
+def walk_payload(result: Any) -> dict[str, Any]:
+    """Reduce a :class:`~repro.core.result.SolveResult` to the picklable
+    walk-report dict.
+
+    The configuration ships whether or not the walk solved —
+    ``result.config`` is the best configuration *seen*, which is what
+    graceful degradation (deadline expiry, partial cluster loss) returns
+    to the client as best-so-far.
+    """
+    return {
+        "solved": result.solved,
+        "cost": result.cost,
+        "iterations": result.stats.iterations,
+        "wall_time": result.stats.wall_time,
+        "reason": result.reason.name,
+        "config": (
+            result.config.tolist() if result.config is not None else None
+        ),
+    }
 
 
 @dataclass

@@ -54,12 +54,13 @@ import numpy as np
 
 from repro.core.config import AdaptiveSearchConfig
 from repro.core.solver import AdaptiveSearch
+from repro.parallel.results import walk_payload
+from repro.parallel.worker import ring_telemetry
 from repro.telemetry.events import TraceContext
 
 __all__ = [
     "WalkTask",
     "GenerationCancelCallback",
-    "walk_payload",
     "service_worker_main",
 ]
 
@@ -144,26 +145,6 @@ class _FaultCallback:
                 f"chaos: injected walk crash at iteration {info.iteration}"
             )
         return None
-
-
-def walk_payload(result: Any) -> dict[str, Any]:
-    """Reduce a :class:`SolveResult` to the picklable walk-report dict.
-
-    The configuration ships whether or not the walk solved —
-    ``result.config`` is the best configuration *seen*, which is what
-    graceful degradation (deadline expiry, partial cluster loss) returns
-    to the client as best-so-far.
-    """
-    return {
-        "solved": result.solved,
-        "cost": result.cost,
-        "iterations": result.stats.iterations,
-        "wall_time": result.stats.wall_time,
-        "reason": result.reason.name,
-        "config": (
-            result.config.tolist() if result.config is not None else None
-        ),
-    }
 
 
 def service_worker_main(
@@ -256,24 +237,14 @@ def _run_walk(
         if task.trace is not None:
             # traced walk: record telemetry into a bounded ring and
             # ship it home with the result (see WalkTask docstring)
-            from repro.telemetry.recorder import Recorder
-            from repro.telemetry.sinks import RingBufferSink
-            from repro.telemetry.solver import TelemetryCallback
-
-            ring = RingBufferSink()
-            recorder = Recorder(
-                sinks=[ring],
-                proc=f"worker-{worker_id}",
-                milestone_every=task.milestone_every,
+            callback, ring = ring_telemetry(
+                f"worker-{worker_id}",
+                task.milestone_every,
+                trace_id=task.trace.trace_id,
+                job_id=task.trace.job_id,
+                walk_id=task.trace.walk_id,
             )
-            callbacks.append(
-                TelemetryCallback(
-                    recorder,
-                    trace_id=task.trace.trace_id,
-                    job_id=task.trace.job_id,
-                    walk_id=task.trace.walk_id,
-                )
-            )
+            callbacks.append(callback)
         result = solver.solve(
             problem, seed=task.seed, callbacks=callbacks
         )

@@ -10,11 +10,15 @@ module covers the HA building blocks in isolation:
   ``client_key`` dedup survives the switch;
 - clients and agents started with the ordered list re-home onto the
   promoted standby and finish real work;
+- a re-homing client closes the dead connection's socket;
 - the per-connection bounded write queue drops droppable frames (and
   only those) when a consumer stalls, and counts every drop.
 """
 
 import asyncio
+import gc
+import time
+import warnings
 
 import pytest
 
@@ -197,6 +201,35 @@ class TestEndToEndRehoming:
             assert second.solved
             assert client.reconnects >= 1
             assert any(agent.reconnects >= 1 for agent in cluster.agents)
+        finally:
+            cluster.stop()
+
+
+class TestRehomingClosesDeadSocket:
+    def test_old_socket_is_closed_on_reconnect(self):
+        """Re-homing must release the dead connection's descriptor, not
+        leave it for the garbage collector to report as unclosed."""
+        cluster = LocalCluster(n_nodes=0)
+        cluster.start()
+        try:
+            client = cluster.client(reconnect=True, reconnect_backoff=0.05)
+            old = client._sock
+            assert old is not None and old.fileno() != -1
+            cluster.kill_coordinator()
+            cluster.restart_coordinator(rejoin_agents=False)
+            deadline = time.monotonic() + 30.0
+            while client.reconnects < 1 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert client.reconnects == 1
+            assert client._sock is not old
+            assert old.fileno() == -1
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                del old
+                gc.collect()
+            assert not [
+                w for w in caught if issubclass(w.category, ResourceWarning)
+            ]
         finally:
             cluster.stop()
 

@@ -1,5 +1,7 @@
 """Tests for the dependent (cooperative) multi-walk scheme."""
 
+import multiprocessing
+
 import numpy as np
 import pytest
 
@@ -145,6 +147,11 @@ class TestCooperativeMultiWalk:
         assert "adoptions" in text
 
 
+def _offer_many(pool, walker, n):
+    for i in range(n):
+        pool.offer(float(walker * n + i), np.array([walker, i]))
+
+
 @pytest.mark.slow
 class TestProcessExecutor:
     def test_solves_and_verifies(self):
@@ -175,3 +182,45 @@ class TestProcessExecutor:
         result = driver.solve(problem, 3, seed=1)
         assert result.solved
         assert result.adoptions >= 0
+
+    def test_pool_counters_come_from_the_shared_pool(self):
+        # every walker offers once per report interval, so a run of many
+        # rounds makes far more offers than the pool can hold
+        problem = make_problem("magic_square", n=7)
+        coop = CooperationConfig(report_interval=16, pool_size=4)
+        driver = CooperativeMultiWalk(
+            AdaptiveSearchConfig(max_iterations=300_000, time_limit=90),
+            coop,
+            executor="process",
+        )
+        result = driver.solve(problem, 3, seed=1)
+        assert result.total_iterations > 3 * 16 * coop.pool_size
+        assert result.pool_offers > coop.pool_size
+        assert result.pool_offers >= result.pool_accepts
+        assert multiprocessing.active_children() == []
+
+    def test_manager_hosted_pool_loses_no_offer(self):
+        """More offering processes than cores hammer the one shared pool:
+        every offer is counted and the global best survives."""
+        from repro.parallel.cooperative import _PoolManager
+
+        ctx = multiprocessing.get_context()
+        manager = _PoolManager(ctx=ctx)
+        manager.start()
+        try:
+            pool = manager.ElitePool(4)
+            procs = [
+                ctx.Process(target=_offer_many, args=(pool, walker, 200))
+                for walker in range(6)
+            ]
+            for proc in procs:
+                proc.start()
+            for proc in procs:
+                proc.join(timeout=60)
+            assert not any(proc.is_alive() for proc in procs)
+            counters = pool.counters()
+            assert counters["offers"] == 6 * 200
+            assert counters["accepts"] >= 4
+            assert pool.best()[0] == 0.0
+        finally:
+            manager.shutdown()

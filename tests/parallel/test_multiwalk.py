@@ -1,5 +1,6 @@
 """Tests for the independent multi-walk driver."""
 
+import multiprocessing
 import time
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from repro.core.config import AdaptiveSearchConfig
 from repro.errors import ParallelError
+from repro.parallel.cooperative import CooperativeMultiWalk
 from repro.parallel.multiwalk import MultiWalkSolver, solve_parallel
 from repro.problems import CostasProblem, make_problem
 from repro.problems.base import Problem, WalkState
@@ -150,18 +152,33 @@ class TestProcessExecutor:
         assert result.executor == "process"
         assert len(result.walks) == 3
 
-    def test_total_work_matches_inline(self):
+    @pytest.mark.parametrize(
+        "executor,lanes",
+        [("process", None), ("vector", None), ("vector", 2), ("pool", None)],
+    )
+    def test_total_work_matches_inline(self, executor, lanes):
         """Same seeds => identical walk trajectories across executors."""
         problem = CostasProblem(8)
         inline = MultiWalkSolver(CFG, executor="inline").solve(problem, 3, seed=7)
-        process = MultiWalkSolver(CFG, executor="process").solve(problem, 3, seed=7)
+        if executor == "pool":
+            from repro.service import SolverService
+
+            with SolverService(2) as service:
+                other = MultiWalkSolver(
+                    CFG, executor="pool", pool=service
+                ).solve(problem, 3, seed=7)
+        else:
+            other = MultiWalkSolver(
+                CFG, executor=executor, lanes=lanes
+            ).solve(problem, 3, seed=7)
         solved_inline = {w.walk_id: w.iterations for w in inline.walks if w.solved}
-        solved_process = {w.walk_id: w.iterations for w in process.walks if w.solved}
+        solved_other = {w.walk_id: w.iterations for w in other.walks if w.solved}
         # the winning walk's trajectory must match exactly; other walks may
         # have been cancelled at different points
-        winner = process.winner.walk_id
+        winner = other.winner.walk_id
         if winner in solved_inline:
-            assert solved_inline[winner] == solved_process[winner]
+            assert solved_inline[winner] == solved_other[winner]
+        assert multiprocessing.active_children() == []
 
     def test_first_finisher_cancels_others(self):
         problem = CostasProblem(10)
@@ -261,9 +278,34 @@ class CrashingProblem(CostasProblem):
         raise RuntimeError("injected failure")
 
 
+class StartCrashingProblem(CostasProblem):
+    """Fails where every engine starts a walk: drawing its first
+    configuration."""
+
+    def random_configuration(self, rng):
+        raise RuntimeError("injected failure")
+
+
+def _crash_solver(executor):
+    if executor == "coop-process":
+        return CooperativeMultiWalk(CFG, executor="process")
+    if executor == "vector-hybrid":
+        return MultiWalkSolver(CFG, executor="vector", lanes=1)
+    return MultiWalkSolver(CFG, executor=executor)
+
+
 @pytest.mark.slow
 class TestFailureInjection:
-    def test_worker_crash_surfaces_as_parallel_error(self):
+    @pytest.mark.parametrize(
+        "executor", ["process", "vector-hybrid", "coop-process"]
+    )
+    def test_worker_crash_surfaces_as_parallel_error(self, executor):
+        solver = _crash_solver(executor)
+        with pytest.raises(ParallelError, match="injected failure"):
+            solver.solve(StartCrashingProblem(8), 2, seed=0)
+        assert multiprocessing.active_children() == []
+
+    def test_mid_walk_crash_surfaces_as_parallel_error(self):
         problem = CrashingProblem(8)
         solver = MultiWalkSolver(CFG, executor="process")
         with pytest.raises(ParallelError, match="injected failure"):

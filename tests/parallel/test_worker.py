@@ -103,7 +103,11 @@ class TestRunWalkInProcess:
         _walk_id, payload = results.get_nowait()
         if not payload["solved"]:
             assert payload["reason"] == "CANCELLED"
-            assert payload["config"] is None
+            # a loser still ships its best configuration (best-so-far for
+            # graceful degradation), and the reported cost is its cost
+            config = np.asarray(payload["config"])
+            assert sorted(config.tolist()) == list(range(12))
+            assert problem.cost(config) == payload["cost"]
 
     def test_crash_reports_error_payload(self):
         class Exploding(CostasProblem):
